@@ -5,6 +5,12 @@
 // GPU time — useful when deciding bench divisors or optimizing the
 // simulator.
 //
+// Every entry whose work runs on the functional thread pool (kernel
+// launches, the oracle, the CPU joins and partitioner, sessions) is
+// registered with MeasureProcessCPUTime: the default per-thread CPU
+// clock sees only the dispatching main thread. The single-threaded
+// generators and probe-pipeline loops keep the per-thread clock.
+//
 //   ./micro_kernels [--benchmark_filter=...]
 
 #include <benchmark/benchmark.h>
@@ -51,7 +57,10 @@ void BM_RadixPartitionFunctional(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(n));
 }
-BENCHMARK(BM_RadixPartitionFunctional)->Arg(1 << 18)->Arg(1 << 21);
+BENCHMARK(BM_RadixPartitionFunctional)
+    ->Arg(1 << 18)
+    ->Arg(1 << 21)
+    ->MeasureProcessCPUTime();
 
 void BM_PartitionedJoinFunctional(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
@@ -68,7 +77,10 @@ void BM_PartitionedJoinFunctional(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 2 *
                           static_cast<int64_t>(n));
 }
-BENCHMARK(BM_PartitionedJoinFunctional)->Arg(1 << 18)->Arg(1 << 20);
+BENCHMARK(BM_PartitionedJoinFunctional)
+    ->Arg(1 << 18)
+    ->Arg(1 << 20)
+    ->MeasureProcessCPUTime();
 
 void BM_NonPartitionedJoinFunctional(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
@@ -86,7 +98,10 @@ void BM_NonPartitionedJoinFunctional(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 2 *
                           static_cast<int64_t>(n));
 }
-BENCHMARK(BM_NonPartitionedJoinFunctional)->Arg(1 << 18)->Arg(1 << 20);
+BENCHMARK(BM_NonPartitionedJoinFunctional)
+    ->Arg(1 << 18)
+    ->Arg(1 << 20)
+    ->MeasureProcessCPUTime();
 
 void BM_JoinOracle(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
@@ -99,7 +114,7 @@ void BM_JoinOracle(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 2 *
                           static_cast<int64_t>(n));
 }
-BENCHMARK(BM_JoinOracle)->Arg(1 << 18);
+BENCHMARK(BM_JoinOracle)->Arg(1 << 18)->MeasureProcessCPUTime();
 
 void BM_CpuProJoinFunctional(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
@@ -114,7 +129,7 @@ void BM_CpuProJoinFunctional(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 2 *
                           static_cast<int64_t>(n));
 }
-BENCHMARK(BM_CpuProJoinFunctional)->Arg(1 << 18);
+BENCHMARK(BM_CpuProJoinFunctional)->Arg(1 << 18)->MeasureProcessCPUTime();
 
 /// Host radix-scatter gate: wall-clock of CpuRadixPartition at 2^10
 /// fanout with the scalar tuple-at-a-time loop (scatter_buffer_tuples=1)
@@ -122,8 +137,6 @@ BENCHMARK(BM_CpuProJoinFunctional)->Arg(1 << 18);
 /// regressing toward Scalar means the cache-resident staging + burst
 /// flush stopped paying for itself. Output is identical either way
 /// (gpujoin_stat_invariance_test pins that); this pair gates only speed.
-/// Registered with MeasureProcessCPUTime: the partitioner runs on pool
-/// workers, which the default per-thread CPU clock cannot see.
 void RadixScatter(benchmark::State& state, int scatter_buffer_tuples) {
   const size_t n = static_cast<size_t>(state.range(0));
   const auto rel = data::MakeUniformProbe(n, n, 15);
@@ -313,7 +326,7 @@ void BM_SessionSmallBatch(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 3 *
                           static_cast<int64_t>(n));
 }
-BENCHMARK(BM_SessionSmallBatch)->Arg(1 << 16);
+BENCHMARK(BM_SessionSmallBatch)->Arg(1 << 16)->MeasureProcessCPUTime();
 
 void BM_TopologyPlacement(benchmark::State& state) {
   // Multi-GPU session overhead gate: an 8-query shared-build batch
@@ -338,7 +351,7 @@ void BM_TopologyPlacement(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 9 *
                           static_cast<int64_t>(n));
 }
-BENCHMARK(BM_TopologyPlacement)->Arg(1 << 16);
+BENCHMARK(BM_TopologyPlacement)->Arg(1 << 16)->MeasureProcessCPUTime();
 
 }  // namespace
 

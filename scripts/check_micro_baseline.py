@@ -16,7 +16,13 @@ still caught because the calibration kernel does not move with them.
 If the calibration benchmark is absent, the median ratio is used (which
 only catches regressions in fewer than half the kernels).
 
-Exit status: 0 = within tolerance, 1 = regression, 2 = usage/data error.
+An entry whose cpu_time is below 25% of its real_time is rejected
+unless its name ends in /process_time: its work runs on pool threads the
+per-thread CPU clock cannot see, so it measures only the dispatching
+main thread. Register such entries with MeasureProcessCPUTime().
+
+Exit status: 0 = within tolerance, 1 = regression or a mis-clocked entry,
+2 = usage/data error.
 Tolerance defaults to 0.30; override with GJOIN_MICRO_TOLERANCE.
 """
 
@@ -26,6 +32,8 @@ import statistics
 import sys
 
 CALIBRATION_PREFIX = "BM_ZipfGeneration/"
+PROCESS_CLOCK_SUFFIX = "/process_time"
+MIN_CPU_TO_REAL = 0.25
 
 
 def main() -> int:
@@ -38,6 +46,16 @@ def main() -> int:
         baseline = json.load(f)["benchmarks"]
     current_run = json.load(sys.stdin)
     current = {b["name"]: b["cpu_time"] for b in current_run["benchmarks"]}
+
+    failed = False
+    for b in current_run["benchmarks"]:
+        if (not b["name"].endswith(PROCESS_CLOCK_SUFFIX)
+                and b["cpu_time"] < MIN_CPU_TO_REAL * b["real_time"]):
+            failed = True
+            print(f"CLOCK {b['name']}: cpu_time is "
+                  f"{b['cpu_time'] / b['real_time']:.0%} of real_time; "
+                  f"the work runs off the main thread, so register it "
+                  f"with MeasureProcessCPUTime()")
 
     ratios = {}
     for name, base_ns in baseline.items():
@@ -56,7 +74,6 @@ def main() -> int:
         ref_label = "median"
     limit = reference * (1.0 + tolerance)
 
-    failed = False
     for name, ratio in sorted(ratios.items()):
         if name.startswith(CALIBRATION_PREFIX):
             print(f"CAL  {name}: {ratio:.2f}x of baseline")

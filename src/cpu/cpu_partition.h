@@ -35,9 +35,6 @@ struct HostPartitions {
   int radix_bits = 0;
   uint64_t tuples = 0;
   double seconds = 0;  ///< Modeled partitioning time for the whole input.
-
-  /// Bytes of partition p's join columns.
-  uint64_t PartitionBytes(uint32_t p) const { return parts[p].bytes(); }
 };
 
 /// \brief Configuration for the host partitioner.

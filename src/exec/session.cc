@@ -7,8 +7,6 @@
 #include <vector>
 
 #include "src/cpu/cpu_joins.h"
-#include "src/gpujoin/join_copartitions.h"
-#include "src/gpujoin/output_ring.h"
 #include "src/hw/cpu_cost.h"
 #include "src/hw/numa.h"
 #include "src/hw/pcie.h"
@@ -1175,27 +1173,9 @@ util::Status Session::ExecuteAttempt(int index, api::Strategy strategy,
           PartitionedRelation s_parted,
           gjoin::gpujoin::RadixPartition(dev, *s_dev, cfg.partition));
 
-      gjoin::gpujoin::OutputRing ring;
-      gjoin::gpujoin::OutputRing* ring_ptr = nullptr;
-      if (cfg.join.output == OutputMode::kMaterialize) {
-        const size_t capacity =
-            cfg.out_capacity != 0 ? cfg.out_capacity
-                                  : std::max<size_t>(probe.size(), 1);
-        GJOIN_ASSIGN_OR_RETURN(
-            ring, gjoin::gpujoin::OutputRing::Allocate(&dev->memory(),
-                                                       capacity));
-        ring_ptr = &ring;
-      }
       GJOIN_ASSIGN_OR_RETURN(
-          gjoin::gpujoin::CoPartitionJoinResult join_result,
-          gjoin::gpujoin::JoinCoPartitions(dev, prepared->parted,
-                                           s_parted, cfg.join, ring_ptr));
-
-      stats.matches = join_result.matches;
-      stats.payload_sum = join_result.payload_sum;
-      stats.partition_s = prepared->parted.seconds + s_parted.seconds;
-      stats.join_s = join_result.seconds;
-      stats.seconds = stats.partition_s + stats.join_s;
+          stats, gjoin::gpujoin::JoinPartedPair(dev, prepared->parted,
+                                                s_parted, cfg, probe.size()));
       // The one-time input transfer (the paper's in-GPU numbers assume
       // resident data; end-to-end reporting charges it separately).
       stats.transfer_s =
@@ -1212,12 +1192,12 @@ util::Status Session::ExecuteAttempt(int index, api::Strategy strategy,
           sim::Engine::kCopyH2D, pcie.DmaSeconds(probe.bytes()), {}, "h2d:S");
       const sim::OpId part_s = solo.Add(
           sim::Engine::kComputeGpu, s_parted.seconds, {h2d_s}, "part:S");
-      solo.Add(sim::Engine::kComputeGpu, join_result.seconds,
-               {part_r, part_s}, "join");
+      solo.Add(sim::Engine::kComputeGpu, stats.join_s, {part_r, part_s},
+               "join");
 
       if (split) {
         EmitSplitInGpu(index, graph, prepared->parted.seconds,
-                       s_parted.seconds, join_result.seconds, build_shared,
+                       s_parted.seconds, stats.join_s, build_shared,
                        dcache.Contains(build_key), probe_shared,
                        dcache.Contains(probe_key));
         split_emitted = true;

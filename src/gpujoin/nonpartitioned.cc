@@ -66,7 +66,9 @@ util::Result<PreparedNonPartitionedBuild> PrepareNonPartitionedBuild(
                                             "npj:perfect-table"));
     prepared.max_key = max_key;
     prepared.table_bytes = (static_cast<uint64_t>(max_key) + 1) * 4;
+    prepared.occupied.assign(static_cast<size_t>(max_key) / 64 + 1, 0);
     sim::DeviceBuffer<uint32_t>& dense = prepared.dense;
+    std::vector<uint64_t>& occupied = prepared.occupied;
     const uint64_t table_bytes = prepared.table_bytes;
 
     std::atomic<bool> duplicate{false};
@@ -88,15 +90,18 @@ util::Result<PreparedNonPartitionedBuild> PrepareNonPartitionedBuild(
                 util::PrefetchWrite(&dense[key]);
               },
               [&](size_t i, uint32_t& key) {
-                // atomicExch, like the real kernel: blocks build
+                // The real kernel's atomicExch: blocks build
                 // concurrently, and on the unique-key fast path every
                 // slot is touched exactly once, so the table content is
-                // deterministic; any duplicate aborts the join below.
-                const uint32_t prev =
-                    std::atomic_ref<uint32_t>(dense[key]).exchange(
-                        build.payloads[begin + i] + 1,  // 0 marks empty
-                        std::memory_order_relaxed);
-                if (prev != 0) duplicate.store(true);
+                // deterministic; any duplicate (a slot whose occupancy
+                // bit was already set) aborts the join below.
+                std::atomic_ref<uint32_t>(dense[key]).store(
+                    build.payloads[begin + i], std::memory_order_relaxed);
+                const uint64_t bit = uint64_t{1} << (key % 64);
+                const uint64_t prev =
+                    std::atomic_ref<uint64_t>(occupied[key / 64])
+                        .fetch_or(bit, std::memory_order_relaxed);
+                if ((prev & bit) != 0) duplicate.store(true);
               });
         }));
     if (duplicate.load()) {
@@ -210,6 +215,7 @@ util::Result<JoinStats> NonPartitionedJoinWithBuild(
 
   if (config.variant == NonPartitionedVariant::kPerfectHash) {
     const sim::DeviceBuffer<uint32_t>& dense = build.dense;
+    const std::vector<uint64_t>& occupied = build.occupied;
     const uint32_t max_key = build.max_key;
     sim::LaunchConfig probe_launch{"nonpartitioned_probe_perfect", num_blocks,
                                    config.threads_per_block,
@@ -234,8 +240,9 @@ util::Result<JoinStats> NonPartitionedJoinWithBuild(
                 if (key <= max_key) util::PrefetchRead(&dense[key]);
               },
               [&](size_t i, uint32_t& key) {
-                if (key <= max_key && dense[key] != 0) {
-                  const uint32_t rpay = dense[key] - 1;
+                if (key <= max_key &&
+                    ((occupied[key / 64] >> (key % 64)) & 1) != 0) {
+                  const uint32_t rpay = dense[key];
                   ++matches;
                   checksum += static_cast<uint64_t>(rpay) +
                               probe.payloads[begin + i];

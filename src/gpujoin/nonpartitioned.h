@@ -66,8 +66,13 @@ struct PreparedNonPartitionedBuild {
   NonPartitionedVariant variant = NonPartitionedVariant::kChaining;
   size_t build_tuples = 0;
   double build_s = 0;  ///< Modeled seconds of the build launch.
-  /// kPerfectHash: dense payload array indexed by key (0 marks empty).
+  /// kPerfectHash: dense payload array indexed by key, and which of its
+  /// slots hold a build tuple (bit k of `occupied` for key k). The bitmap
+  /// is a functional mirror that is not device-accounted, like `nodes`:
+  /// occupancy apart from the payload lets every payload value, including
+  /// UINT32_MAX, round-trip.
   sim::DeviceBuffer<uint32_t> dense;
+  std::vector<uint64_t> occupied;
   uint32_t max_key = 0;
   /// kChaining: slot heads, device-resident next pointers, and the
   /// packed functional mirror of the chain nodes (see the build's

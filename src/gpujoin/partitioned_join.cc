@@ -1,6 +1,7 @@
 #include "src/gpujoin/partitioned_join.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "src/util/bits.h"
 
@@ -8,20 +9,38 @@ namespace gjoin::gpujoin {
 
 namespace {
 
-/// Join phase shared by all entry points: optional output ring sized to
-/// the probe cardinality, the co-partition join pass, and the stats
-/// roll-up over both partitioned inputs.
+/// Partitions `build`, deriving key_bits from its keys before the input
+/// is consumed when the config leaves it 0.
+util::Result<PreparedBuild> PrepareBuild(sim::Device* device,
+                                         DeviceInput build,
+                                         const PartitionedJoinConfig& config) {
+  PreparedBuild prepared;
+  prepared.key_bits = config.join.key_bits != 0
+                          ? config.join.key_bits
+                          : KeyBitsForMaxKey(build.MaxKey());
+  GJOIN_ASSIGN_OR_RETURN(
+      prepared.parted,
+      RadixPartition(device, std::move(build), config.partition));
+  return prepared;
+}
+
+}  // namespace
+
+int KeyBitsForMaxKey(uint32_t max_key) {
+  return util::Log2Floor(std::max<uint32_t>(max_key, 1)) + 1;
+}
+
 util::Result<JoinStats> JoinPartedPair(sim::Device* device,
                                        const PartitionedRelation& r_parted,
                                        const PartitionedRelation& s_parted,
-                                       const PartitionedJoinConfig& cfg,
+                                       const PartitionedJoinConfig& config,
                                        size_t probe_size) {
   OutputRing ring;
   OutputRing* ring_ptr = nullptr;
-  if (cfg.join.output == OutputMode::kMaterialize) {
-    const size_t capacity =
-        cfg.out_capacity != 0 ? cfg.out_capacity
-                              : std::max<size_t>(probe_size, 1);
+  if (config.join.output == OutputMode::kMaterialize) {
+    const size_t capacity = config.out_capacity != 0
+                                ? config.out_capacity
+                                : std::max<size_t>(probe_size, 1);
     GJOIN_ASSIGN_OR_RETURN(ring,
                            OutputRing::Allocate(&device->memory(), capacity));
     ring_ptr = &ring;
@@ -29,7 +48,7 @@ util::Result<JoinStats> JoinPartedPair(sim::Device* device,
 
   GJOIN_ASSIGN_OR_RETURN(
       CoPartitionJoinResult join_result,
-      JoinCoPartitions(device, r_parted, s_parted, cfg.join, ring_ptr));
+      JoinCoPartitions(device, r_parted, s_parted, config.join, ring_ptr));
 
   JoinStats stats;
   stats.matches = join_result.matches;
@@ -40,104 +59,33 @@ util::Result<JoinStats> JoinPartedPair(sim::Device* device,
   return stats;
 }
 
-/// Shared implementation; when `consume` is set, each input's columns
-/// are released right after that relation is partitioned.
-util::Result<JoinStats> PartitionedJoinImpl(sim::Device* device,
-                                            const DeviceRelation& build,
-                                            const DeviceRelation& probe,
-                                            DeviceRelation* owned_build,
-                                            DeviceRelation* owned_probe,
-                                            const PartitionedJoinConfig& config) {
-  PartitionedJoinConfig cfg = config;
-  const size_t probe_size = probe.size;
-  if (cfg.join.key_bits == 0) {
-    // Keys are positive and bounded by the relation sizes in the paper's
-    // workloads; derive the significant bit count for the ballot loop.
-    uint32_t max_key = 1;
-    for (size_t i = 0; i < build.size; ++i) {
-      max_key = std::max(max_key, build.keys[i]);
-    }
-    cfg.join.key_bits = util::Log2Floor(max_key) + 1;
-  }
-
-  PartitionedRelation r_parted, s_parted;
-  if (owned_build != nullptr) {
-    GJOIN_ASSIGN_OR_RETURN(
-        r_parted,
-        RadixPartitionConsuming(device, std::move(*owned_build),
-                                cfg.partition));
-  } else {
-    GJOIN_ASSIGN_OR_RETURN(r_parted,
-                           RadixPartition(device, build, cfg.partition));
-  }
-  if (owned_probe != nullptr) {
-    GJOIN_ASSIGN_OR_RETURN(
-        s_parted,
-        RadixPartitionConsuming(device, std::move(*owned_probe),
-                                cfg.partition));
-  } else {
-    GJOIN_ASSIGN_OR_RETURN(s_parted,
-                           RadixPartition(device, probe, cfg.partition));
-  }
-
-  return JoinPartedPair(device, r_parted, s_parted, cfg, probe_size);
-}
-
-}  // namespace
-
-util::Result<JoinStats> PartitionedJoin(sim::Device* device,
-                                        const DeviceRelation& build,
-                                        const DeviceRelation& probe,
-                                        const PartitionedJoinConfig& config) {
-  return PartitionedJoinImpl(device, build, probe, nullptr, nullptr, config);
-}
-
-util::Result<JoinStats> PartitionedJoinConsuming(
-    sim::Device* device, DeviceRelation build, DeviceRelation probe,
-    const PartitionedJoinConfig& config) {
-  return PartitionedJoinImpl(device, build, probe, &build, &probe, config);
-}
-
-util::Result<JoinStats> PartitionedJoinChunkedConsuming(
-    sim::Device* device, ChunkedDeviceInput build, ChunkedDeviceInput probe,
-    const PartitionedJoinConfig& config) {
-  PartitionedJoinConfig cfg = config;
-  const size_t probe_size = probe.size();
-  if (cfg.join.key_bits == 0) {
-    // Same derivation as the contiguous path: scan before the input is
-    // consumed (keys start at 1, so the empty floor is max_key = 1).
-    const uint32_t max_key = std::max<uint32_t>(1, build.MaxKey());
-    cfg.join.key_bits = util::Log2Floor(max_key) + 1;
-  }
-
-  GJOIN_ASSIGN_OR_RETURN(
-      PartitionedRelation r_parted,
-      RadixPartitionChunkedConsuming(device, std::move(build),
-                                     cfg.partition));
-  GJOIN_ASSIGN_OR_RETURN(
-      PartitionedRelation s_parted,
-      RadixPartitionChunkedConsuming(device, std::move(probe),
-                                     cfg.partition));
-
-  return JoinPartedPair(device, r_parted, s_parted, cfg, probe_size);
-}
-
 util::Result<PreparedBuild> PreparePartitionedBuild(
     sim::Device* device, const data::Relation& build,
     const PartitionedJoinConfig& config) {
-  PreparedBuild prepared;
-  prepared.key_bits = config.join.key_bits;
-  if (prepared.key_bits == 0) {
-    uint32_t max_key = 1;
-    for (uint32_t k : build.keys) max_key = std::max(max_key, k);
-    prepared.key_bits = util::Log2Floor(max_key) + 1;
-  }
   GJOIN_ASSIGN_OR_RETURN(DeviceRelation r_dev,
                          DeviceRelation::Upload(device, build));
+  return PrepareBuild(device, std::move(r_dev), config);
+}
+
+util::Result<JoinStats> PartitionedJoin(sim::Device* device,
+                                        DeviceInput build, DeviceInput probe,
+                                        const PartitionedJoinConfig& config) {
+  GJOIN_ASSIGN_OR_RETURN(PreparedBuild prepared,
+                         PrepareBuild(device, std::move(build), config));
+  return PartitionedJoin(device, prepared, std::move(probe), config);
+}
+
+util::Result<JoinStats> PartitionedJoin(sim::Device* device,
+                                        const PreparedBuild& build,
+                                        DeviceInput probe,
+                                        const PartitionedJoinConfig& config) {
+  PartitionedJoinConfig cfg = config;
+  if (cfg.join.key_bits == 0) cfg.join.key_bits = build.key_bits;
+  const size_t probe_size = probe.size();
   GJOIN_ASSIGN_OR_RETURN(
-      prepared.parted,
-      RadixPartitionConsuming(device, std::move(r_dev), config.partition));
-  return prepared;
+      PartitionedRelation s_parted,
+      RadixPartition(device, std::move(probe), cfg.partition));
+  return JoinPartedPair(device, build.parted, s_parted, cfg, probe_size);
 }
 
 util::Result<JoinStats> PartitionedJoinFromHost(
@@ -146,34 +94,9 @@ util::Result<JoinStats> PartitionedJoinFromHost(
     int probe_segments) {
   GJOIN_ASSIGN_OR_RETURN(PreparedBuild prepared,
                          PreparePartitionedBuild(device, build, config));
-  return PartitionedJoinFromHostWithBuild(device, prepared, probe, config,
-                                          probe_segments);
-}
-
-util::Result<JoinStats> PartitionedJoinFromHostWithBuild(
-    sim::Device* device, const PreparedBuild& build,
-    const data::Relation& probe, const PartitionedJoinConfig& config,
-    int probe_segments) {
-  PartitionedJoinConfig cfg = config;
-  if (cfg.join.key_bits == 0) cfg.join.key_bits = build.key_bits;
-  const PartitionedRelation& r_parted = build.parted;
-
-  if (probe_segments <= 0) {
-    // Size segments so one raw segment plus the partitioned probe side
-    // (chains plus pool slack, ~2x the data) fits the remaining device
-    // memory.
-    const uint64_t budget = device->memory().available();
-    const uint64_t need = probe.bytes() * 2;
-    const uint64_t seg_budget = budget > need ? budget - need : budget / 8;
-    probe_segments = static_cast<int>(std::min<uint64_t>(
-        16, util::CeilDiv(probe.bytes(), std::max<uint64_t>(seg_budget, 1))));
-    if (probe_segments < 1) probe_segments = 1;
-  }
-  GJOIN_ASSIGN_OR_RETURN(
-      PartitionedRelation s_parted,
-      RadixPartitionSegmented(device, probe, cfg.partition, probe_segments));
-
-  return JoinPartedPair(device, r_parted, s_parted, cfg, probe.size());
+  return PartitionedJoin(device, prepared,
+                         DeviceInput::Segmented(probe, probe_segments),
+                         config);
 }
 
 }  // namespace gjoin::gpujoin

@@ -241,7 +241,7 @@ class GlobalChains {
     block->ChargeStageFlush(count);
     if (count == 0) return;
     if (direct_) {
-      Pack(block, child, keys, pays, count);
+      PackFrom(block, child, keys, pays, count);
       return;
     }
     PerBlock& pb = per_block_[static_cast<size_t>(block->block_id())];
@@ -269,11 +269,6 @@ class GlobalChains {
   }
 
  private:
-  void Pack(sim::Block* block, uint32_t child, const uint32_t* keys,
-            const uint32_t* pays, uint32_t count) {
-    PackFrom(block, child, keys, pays, count);
-  }
-
   /// Packs one run into `child`'s chain: fills the child's current
   /// bucket to capacity before drawing a fresh one (one device atomic
   /// each), prepending new buckets to the child's list.
@@ -384,8 +379,18 @@ uint32_t AutoBucketCapacity(uint64_t tuples, uint32_t partitions) {
   return static_cast<uint32_t>(util::NextPowerOfTwo(clamped));
 }
 
-void ChunkedDeviceInput::Add(std::vector<uint32_t> keys,
-                             std::vector<uint32_t> payloads) {
+DeviceInput DeviceInput::Segmented(const data::Relation& relation,
+                                   int segments) {
+  DeviceInput input;
+  input.kind_ = Kind::kSegmented;
+  input.host_ = &relation;
+  input.segments_ = segments;
+  input.total_ = relation.size();
+  return input;
+}
+
+void DeviceInput::Add(std::vector<uint32_t> keys,
+                      std::vector<uint32_t> payloads) {
   if (keys.empty()) return;
   Chunk chunk;
   chunk.begin = total_;
@@ -395,15 +400,21 @@ void ChunkedDeviceInput::Add(std::vector<uint32_t> keys,
   chunks_.push_back(std::move(chunk));
 }
 
-uint32_t ChunkedDeviceInput::MaxKey() const {
+uint32_t DeviceInput::MaxKey() const {
   uint32_t max_key = 0;
-  for (const Chunk& chunk : chunks_) {
-    for (uint32_t k : chunk.keys) max_key = std::max(max_key, k);
+  auto scan = [&](const uint32_t* keys, size_t n) {
+    for (size_t i = 0; i < n; ++i) max_key = std::max(max_key, keys[i]);
+  };
+  if (const DeviceRelation* rel = flat()) {
+    scan(rel->keys.data(), rel->size);
+  } else if (host_ != nullptr) {
+    scan(host_->keys.data(), host_->size());
   }
+  for (const Chunk& chunk : chunks_) scan(chunk.keys.data(), chunk.keys.size());
   return max_key;
 }
 
-void ChunkedDeviceInput::Cursor::Advance() {
+void DeviceInput::Cursor::Advance() {
   // Only reached when the owning block has more tuples, so the next
   // chunk exists and is still alive (it intersects the block's range).
   ++chunk_;
@@ -413,7 +424,7 @@ void ChunkedDeviceInput::Cursor::Advance() {
   k_end_ = k_ + chunk.keys.size();
 }
 
-ChunkedDeviceInput::Cursor ChunkedDeviceInput::At(size_t i) const {
+DeviceInput::Cursor DeviceInput::At(size_t i) const {
   Cursor cur;
   cur.in_ = this;
   // Last chunk whose begin is <= i.
@@ -430,7 +441,7 @@ ChunkedDeviceInput::Cursor ChunkedDeviceInput::At(size_t i) const {
   return cur;
 }
 
-void ChunkedDeviceInput::BeginConsume(size_t block_tuples) {
+void DeviceInput::BeginConsume(size_t block_tuples) {
   block_tuples_ = block_tuples;
   readers_ = std::make_unique<std::atomic<int>[]>(chunks_.size());
   if (block_tuples == 0) return;
@@ -445,7 +456,7 @@ void ChunkedDeviceInput::BeginConsume(size_t block_tuples) {
   }
 }
 
-void ChunkedDeviceInput::BlockDone(size_t begin, size_t end) {
+void DeviceInput::BlockDone(size_t begin, size_t end) {
   if (end <= begin || readers_ == nullptr) return;
   // First chunk containing `begin` (coverage is gap-free), then every
   // chunk starting before `end`.
@@ -466,10 +477,11 @@ void ChunkedDeviceInput::BlockDone(size_t begin, size_t end) {
 namespace {
 
 /// Pass-1 input adapters: the launch body walks its tuple range through
-/// a source-provided cursor, so the contiguous DeviceRelation path and
-/// the chunk-consuming path share one kernel. Every charge is driven by
-/// tuple values and counts alone, never by input layout, which is what
-/// keeps the two paths' stats bit-identical.
+/// a source-provided cursor, so device relations and host-staged chunks
+/// share one kernel, templated on the source (the input kind is
+/// dispatched once per launch, never per tuple). Every charge is driven
+/// by tuple values and counts alone, never by input layout, which is what
+/// keeps the kinds' stats bit-identical.
 struct FlatPassSource {
   const uint32_t* keys;
   const uint32_t* pays;
@@ -483,71 +495,39 @@ struct FlatPassSource {
       ++p;
     }
   };
+  explicit FlatPassSource(const DeviceRelation& rel)
+      : keys(rel.keys.data()), pays(rel.payloads.data()) {}
   Cursor At(size_t i) const { return {keys + i, pays + i}; }
   void BeginConsume(size_t /*block_tuples*/) {}
   void BlockDone(size_t /*begin*/, size_t /*end*/) {}
 };
 
 struct ChunkedPassSource {
-  ChunkedDeviceInput* input;
-  using Cursor = ChunkedDeviceInput::Cursor;
+  DeviceInput* input;
+  using Cursor = DeviceInput::Cursor;
   Cursor At(size_t i) const { return input->At(i); }
   void BeginConsume(size_t block_tuples) { input->BeginConsume(block_tuples); }
   void BlockDone(size_t begin, size_t end) { input->BlockDone(begin, end); }
 };
 
+/// One first-pass launch over `n` tuples of `src`, publishing into
+/// `out`'s chains (radix field and pool fixed by the caller; the pool
+/// must have headroom for this launch's tuples and partial buckets).
+/// Like NextPass, it takes the config RadixPartition validated and whose
+/// num_blocks it resolved.
 template <typename Source>
-util::Result<PartitionedRelation> FirstPassOverSource(
-    sim::Device* device, Source src, size_t input_size, int shift, int bits,
-    const RadixPartitionConfig& config, PartitionedRelation* append_to) {
-  if (bits <= 0 || bits > 12) {
-    return util::Status::Invalid("first pass bits out of range: " +
-                                 std::to_string(bits));
-  }
+util::Status FirstPass(sim::Device* device, Source src, size_t n,
+                       const RadixPartitionConfig& config,
+                       PartitionedRelation* out) {
+  const int shift = out->base_shift;
+  const int bits = out->radix_bits;
   const uint32_t fanout = 1u << bits;
-  const size_t smem_needed =
-      BlockLocalSharedBytes(fanout, config.stage_elems);
-  if (smem_needed > device->spec().gpu.shared_mem_per_block) {
-    return util::Status::Invalid(
-        "partitioning fanout 2^" + std::to_string(bits) +
-        " needs " + std::to_string(smem_needed) +
-        "B shared memory, exceeding the per-block limit");
-  }
-
-  const uint32_t capacity =
-      config.bucket_capacity != 0
-          ? config.bucket_capacity
-          : AutoBucketCapacity(input_size, config.num_partitions());
-  const int num_blocks =
-      config.num_blocks != 0
-          ? config.num_blocks
-          : device->spec().gpu.num_sms * device->spec().gpu.blocks_per_sm;
+  const int num_blocks = config.num_blocks;
   const int scatter_tuples =
       util::ResolveScatterBufferTuples(config.scatter_buffer_tuples);
 
-  PartitionedRelation out;
-  if (append_to != nullptr) {
-    // Segmented partitioning: publish into the caller's existing chains
-    // (their pool must have headroom for this segment).
-    if (append_to->radix_bits != bits || append_to->base_shift != shift) {
-      return util::Status::Invalid("append: radix layout mismatch");
-    }
-    out = std::move(*append_to);
-  } else {
-    const uint32_t pool_buckets =
-        static_cast<uint32_t>(CeilDiv(input_size, capacity)) +
-        static_cast<uint32_t>(num_blocks) * fanout + fanout;
-    GJOIN_ASSIGN_OR_RETURN(
-        BucketChains chains,
-        BucketChains::Allocate(&device->memory(), fanout, pool_buckets,
-                               capacity));
-    out.chains = std::move(chains);
-    out.radix_bits = bits;
-    out.base_shift = shift;
-  }
-  BucketChains& chains = out.chains;
+  BucketChains& chains = out->chains;
 
-  const size_t n = input_size;
   const size_t chunk = num_blocks > 0 ? CeilDiv(n, num_blocks) : n;
   src.BeginConsume(chunk);
 
@@ -614,39 +594,25 @@ util::Result<PartitionedRelation> FirstPassOverSource(
           }));
   PublishScatterCounters(config, scatter_counters);
 
-  out.tuples += n;
-  out.seconds += result.seconds;
-  if (out.pass_seconds.empty()) {
-    out.pass_seconds = {result.seconds};
+  out->tuples += n;
+  out->seconds += result.seconds;
+  if (out->pass_seconds.empty()) {
+    out->pass_seconds = {result.seconds};
   } else {
-    out.pass_seconds[0] += result.seconds;
+    out->pass_seconds[0] += result.seconds;
   }
-  return out;
+  return util::Status::OK();
 }
 
-}  // namespace
-
-util::Result<PartitionedRelation> RadixPartitionFirstPass(
-    sim::Device* device, const DeviceRelation& input, int shift, int bits,
-    const RadixPartitionConfig& config, PartitionedRelation* append_to) {
-  return FirstPassOverSource(
-      device, FlatPassSource{input.keys.data(), input.payloads.data()},
-      input.size, shift, bits, config, append_to);
-}
-
-util::Result<PartitionedRelation> RadixPartitionNextPass(
-    sim::Device* device, PartitionedRelation prev, int shift, int bits,
-    const RadixPartitionConfig& config) {
-  if (bits <= 0 || bits > 12) {
-    return util::Status::Invalid("pass bits out of range: " +
-                                 std::to_string(bits));
-  }
+/// Single sub-partitioning pass over previous-pass chains: each parent
+/// partition p fans out to children [p * 2^bits, (p+1) * 2^bits).
+/// Takes `prev` by value: the pass consumes the input chains, recycling
+/// their buckets into the shared pool as it drains them.
+util::Result<PartitionedRelation> NextPass(sim::Device* device,
+                                           PartitionedRelation prev,
+                                           int shift, int bits,
+                                           const RadixPartitionConfig& config) {
   const uint32_t subfanout = 1u << bits;
-  const size_t smem_needed =
-      BlockLocalSharedBytes(subfanout, config.stage_elems);
-  if (smem_needed > device->spec().gpu.shared_mem_per_block) {
-    return util::Status::Invalid("sub-partitioning fanout too large");
-  }
 
   // The pass owns `prev`, so recycling consumed input buckets back into
   // the shared pool is a sanctioned mutation (no caller can observe the
@@ -655,10 +621,7 @@ util::Result<PartitionedRelation> RadixPartitionNextPass(
   const uint32_t parents = in.num_partitions();
   const uint32_t children = parents << bits;
   const uint32_t capacity = in.bucket_capacity();
-  const int num_blocks =
-      config.num_blocks != 0
-          ? config.num_blocks
-          : device->spec().gpu.num_sms * device->spec().gpu.blocks_per_sm;
+  const int num_blocks = config.num_blocks;
   const int scatter_tuples =
       util::ResolveScatterBufferTuples(config.scatter_buffer_tuples);
   // Output chains share the input's pool: consumed input buckets are
@@ -850,26 +813,56 @@ util::Result<PartitionedRelation> RadixPartitionNextPass(
   return out;
 }
 
-namespace {
+/// Uploads `rel` in `segments` slices straight from the host columns (no
+/// intermediate host copy), running one first-pass launch per slice into
+/// `out`. Only one raw segment is ever resident.
+util::Status SegmentedFirstPass(sim::Device* device, const data::Relation& rel,
+                                int segments,
+                                const RadixPartitionConfig& config,
+                                PartitionedRelation* out) {
+  const size_t n = rel.size();
+  const size_t seg_tuples = CeilDiv(n, static_cast<size_t>(segments));
+  for (size_t begin = 0; begin < n; begin += seg_tuples) {
+    const size_t end = std::min(n, begin + seg_tuples);
+    GJOIN_ASSIGN_OR_RETURN(
+        DeviceRelation seg_dev,
+        DeviceRelation::Upload(device,
+                               data::RelationView::Slice(rel, begin, end)));
+    GJOIN_RETURN_NOT_OK(
+        FirstPass(device, FlatPassSource(seg_dev), seg_dev.size, config, out));
+  }
+  return util::Status::OK();
+}
 
-/// Shared driver: `host_input` + `segments` selects the segmented path,
-/// `chunked` the chunk-consuming path; otherwise `device_input` is used
-/// (freed after pass 1 when `consume`).
-util::Result<PartitionedRelation> RadixPartitionImpl(
-    sim::Device* device, const DeviceRelation* device_input,
-    DeviceRelation* consume, const data::Relation* host_input, int segments,
-    ChunkedDeviceInput* chunked, const RadixPartitionConfig& config) {
+}  // namespace
+
+util::Result<PartitionedRelation> RadixPartition(
+    sim::Device* device, DeviceInput input,
+    const RadixPartitionConfig& config) {
   if (config.pass_bits.empty()) {
     return util::Status::Invalid("RadixPartition: no passes configured");
   }
-  const uint64_t n = host_input != nullptr ? host_input->size()
-                     : chunked != nullptr ? chunked->size()
-                                          : device_input->size;
+  for (const int bits : config.pass_bits) {
+    if (bits <= 0 || bits > 12) {
+      return util::Status::Invalid("pass bits out of range: " +
+                                   std::to_string(bits));
+    }
+    const size_t smem_needed =
+        BlockLocalSharedBytes(1u << bits, config.stage_elems);
+    if (smem_needed > device->spec().gpu.shared_mem_per_block) {
+      return util::Status::Invalid(
+          "partitioning fanout 2^" + std::to_string(bits) + " needs " +
+          std::to_string(smem_needed) +
+          "B shared memory, exceeding the per-block limit");
+    }
+  }
+  const uint64_t n = input.size();
   RadixPartitionConfig cfg = config;
-  const int num_blocks =
-      cfg.num_blocks != 0
-          ? cfg.num_blocks
-          : device->spec().gpu.num_sms * device->spec().gpu.blocks_per_sm;
+  if (cfg.num_blocks == 0) {
+    cfg.num_blocks =
+        device->spec().gpu.num_sms * device->spec().gpu.blocks_per_sm;
+  }
+  const int num_blocks = cfg.num_blocks;
   const uint32_t fanout1 = 1u << cfg.pass_bits[0];
   if (cfg.bucket_capacity == 0) {
     cfg.bucket_capacity = AutoBucketCapacity(n, config.num_partitions());
@@ -888,12 +881,28 @@ util::Result<PartitionedRelation> RadixPartitionImpl(
         cfg.bucket_capacity, std::min(per_producer, per_final)));
   }
 
+  int segments = 1;
+  if (input.kind_ == DeviceInput::Kind::kSegmented) {
+    segments = input.segments_;
+    if (segments <= 0) {
+      // Size segments so one raw segment plus the partitioned form
+      // (chains plus pool slack, ~2x the data) fits the remaining device
+      // memory.
+      const uint64_t bytes = input.host_->bytes();
+      const uint64_t budget = device->memory().available();
+      const uint64_t need = bytes * 2;
+      const uint64_t seg_budget = budget > need ? budget - need : budget / 8;
+      segments = static_cast<int>(std::min<uint64_t>(
+          16, CeilDiv(bytes, std::max<uint64_t>(seg_budget, 1))));
+      segments = std::max(segments, 1);
+    }
+  }
+
   // One pool for all passes: data buckets + block-private partials of
   // pass 1 (each segment's producers publish their own partials, bounded
   // by blocks x fanout per segment) + one partial per final child +
   // slack for in-flight recycling.
-  const uint64_t seg_count =
-      host_input != nullptr ? std::max<uint64_t>(1, segments) : 1;
+  const uint64_t seg_count = static_cast<uint64_t>(segments);
   const uint64_t per_seg = CeilDiv(n, seg_count);
   const uint64_t producer_slack =
       std::min<uint64_t>(static_cast<uint64_t>(num_blocks) * fanout1,
@@ -915,76 +924,31 @@ util::Result<PartitionedRelation> RadixPartitionImpl(
   rel.radix_bits = cfg.pass_bits[0];
   rel.base_shift = cfg.base_shift;
 
-  if (host_input != nullptr) {
-    const size_t seg_tuples = CeilDiv(n, std::max(segments, 1));
-    for (size_t begin = 0; begin < n; begin += seg_tuples) {
-      const size_t end = std::min<size_t>(n, begin + seg_tuples);
-      // Upload the segment straight from the host columns — no
-      // intermediate host copy.
-      GJOIN_ASSIGN_OR_RETURN(
-          DeviceRelation seg_dev,
-          DeviceRelation::Upload(
-              device, data::RelationView::Slice(*host_input, begin, end)));
-      GJOIN_ASSIGN_OR_RETURN(
-          rel, RadixPartitionFirstPass(device, seg_dev, cfg.base_shift,
-                                       cfg.pass_bits[0], cfg, &rel));
-      // seg_dev freed at scope exit: only one segment is ever resident.
-    }
-  } else if (chunked != nullptr) {
-    // Same single launch as the contiguous path, walking the chunks in
-    // place; each chunk is freed once its last reader block finishes.
-    GJOIN_ASSIGN_OR_RETURN(
-        rel, FirstPassOverSource(device, ChunkedPassSource{chunked},
-                                 static_cast<size_t>(n), cfg.base_shift,
-                                 cfg.pass_bits[0], cfg, &rel));
-  } else {
-    GJOIN_ASSIGN_OR_RETURN(
-        rel, RadixPartitionFirstPass(device, *device_input, cfg.base_shift,
-                                     cfg.pass_bits[0], cfg, &rel));
-    if (consume != nullptr) {
-      consume->keys.Reset();
-      consume->payloads.Reset();
-    }
+  switch (input.kind_) {
+    case DeviceInput::Kind::kSegmented:
+      GJOIN_RETURN_NOT_OK(
+          SegmentedFirstPass(device, *input.host_, segments, cfg, &rel));
+      break;
+    case DeviceInput::Kind::kChunks:
+      GJOIN_RETURN_NOT_OK(
+          FirstPass(device, ChunkedPassSource{&input}, n, cfg, &rel));
+      break;
+    case DeviceInput::Kind::kBorrowed:
+    case DeviceInput::Kind::kOwned:
+      GJOIN_RETURN_NOT_OK(
+          FirstPass(device, FlatPassSource(*input.flat()), n, cfg, &rel));
+      // An owned relation's raw columns are dead from here.
+      input.owned_ = DeviceRelation();
+      break;
   }
 
   int shift = cfg.base_shift + cfg.pass_bits[0];
   for (size_t pass = 1; pass < cfg.pass_bits.size(); ++pass) {
     GJOIN_ASSIGN_OR_RETURN(
-        rel, RadixPartitionNextPass(device, std::move(rel), shift,
-                                    cfg.pass_bits[pass], cfg));
+        rel, NextPass(device, std::move(rel), shift, cfg.pass_bits[pass], cfg));
     shift += cfg.pass_bits[pass];
   }
   return rel;
-}
-
-}  // namespace
-
-util::Result<PartitionedRelation> RadixPartition(
-    sim::Device* device, const DeviceRelation& input,
-    const RadixPartitionConfig& config) {
-  return RadixPartitionImpl(device, &input, nullptr, nullptr, 0, nullptr,
-                            config);
-}
-
-util::Result<PartitionedRelation> RadixPartitionConsuming(
-    sim::Device* device, DeviceRelation input,
-    const RadixPartitionConfig& config) {
-  return RadixPartitionImpl(device, &input, &input, nullptr, 0, nullptr,
-                            config);
-}
-
-util::Result<PartitionedRelation> RadixPartitionChunkedConsuming(
-    sim::Device* device, ChunkedDeviceInput input,
-    const RadixPartitionConfig& config) {
-  return RadixPartitionImpl(device, nullptr, nullptr, nullptr, 0, &input,
-                            config);
-}
-
-util::Result<PartitionedRelation> RadixPartitionSegmented(
-    sim::Device* device, const data::Relation& input,
-    const RadixPartitionConfig& config, int segments) {
-  return RadixPartitionImpl(device, nullptr, nullptr, &input, segments,
-                            nullptr, config);
 }
 
 }  // namespace gjoin::gpujoin

@@ -1,6 +1,6 @@
 // Multi-pass GPU radix partitioning with bucket chains (Section III-A).
 //
-// Pass 1 scans the contiguous input relation; each thread block stages
+// Pass 1 scans the input (see DeviceInput); each thread block stages
 // tuples per partition in shared memory (the "shuffle space"), flushes
 // staged runs into its current bucket with coalesced bursts, draws fresh
 // buckets from the pool with a device atomic when one fills up, and
@@ -22,6 +22,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "src/gpujoin/bucket_chains.h"
@@ -102,42 +103,62 @@ struct PartitionedRelation {
   std::vector<double> pass_seconds;  ///< Modeled time per pass.
 };
 
-/// \brief First-pass input assembled from host-staged chunks (e.g. the
-/// co-partitions of an out-of-GPU working set), each chunk's columns
-/// moved in and released the moment the last thread block reading it
-/// has finished.
+/// \brief The input of a partitioning run, in whichever form the caller
+/// holds its tuples:
 ///
-/// This is the streamed working-set buffer of the co-processing
-/// strategy: instead of concatenating host partitions and uploading one
-/// contiguous copy, the pass walks the chunks in place through a cursor
-/// and peak residency is the partitioned output plus the not-yet-
-/// consumed tail — never input plus output. The kernel, its launch
-/// geometry and every charge are those of the contiguous path, so the
-/// partitioned form and the modeled seconds are bit-identical to
-/// RadixPartition over the concatenation (pinned by
-/// gpujoin_stat_invariance_test). As with DeviceRelation::Upload,
-/// transfer timing is the caller's concern.
-class ChunkedDeviceInput {
+///   - a borrowed device relation (implicit from `const DeviceRelation&`),
+///     read in place and left intact;
+///   - an owned device relation (implicit from `DeviceRelation&&`), whose
+///     raw columns are freed as soon as the first pass has read them;
+///   - host-staged chunks (Add), e.g. the co-partitions of an out-of-GPU
+///     working set: the first pass walks them in place through a cursor
+///     and frees each chunk the moment the last thread block reading it
+///     has finished, so peak residency is the partitioned output plus the
+///     unread tail, never input plus output;
+///   - a host relation uploaded and partitioned in segments (Segmented):
+///     peak device footprint is one segment plus the partitioned form,
+///     which is how large probe sides fit next to a partitioned build.
+///
+/// The first three run one first-pass launch over the same kernel, so
+/// for the same tuples they give bucket-for-bucket identical output and
+/// bit-identical charges (pinned by gpujoin_stat_invariance_test). A
+/// segmented input runs one launch per segment. As with
+/// DeviceRelation::Upload, transfer timing is the caller's concern.
+class DeviceInput {
  public:
-  ChunkedDeviceInput() = default;
-  ChunkedDeviceInput(ChunkedDeviceInput&&) = default;
-  ChunkedDeviceInput& operator=(ChunkedDeviceInput&&) = default;
+  DeviceInput() = default;
+  /// Borrows `relation`, which must outlive the partitioning run.
+  DeviceInput(const DeviceRelation& relation)
+      : kind_(Kind::kBorrowed), borrowed_(&relation), total_(relation.size) {}
+  /// Takes `relation` over; its columns are freed after the first pass.
+  DeviceInput(DeviceRelation&& relation)
+      : kind_(Kind::kOwned),
+        owned_(std::move(relation)),
+        total_(owned_.size) {}
+  DeviceInput(DeviceInput&&) = default;
+  DeviceInput& operator=(DeviceInput&&) = default;
 
-  /// Appends one chunk, taking ownership of its columns (which must
-  /// have equal length; empty chunks are dropped).
+  /// Uploads `relation` (which must outlive the run) in `segments`
+  /// pieces, each freed once the first pass has read it. 0 = auto-size:
+  /// as few segments (at most 16) as let one raw segment plus the
+  /// partitioned form (~2x the data) fit the device's free memory.
+  static DeviceInput Segmented(const data::Relation& relation, int segments);
+
+  /// Appends one host-staged chunk, taking ownership of its columns
+  /// (which must have equal length; empty chunks are dropped). Only for
+  /// a default-constructed (chunk) input.
   void Add(std::vector<uint32_t> keys, std::vector<uint32_t> payloads);
 
-  /// Total tuples across all chunks.
+  /// Total tuples.
   size_t size() const { return total_; }
 
-  /// Largest key across all chunks (0 when empty); call before the
-  /// input is consumed.
+  /// Largest key (0 when empty); call before the input is consumed.
   uint32_t MaxKey() const;
 
-  /// \name Consumption interface used by the first partitioning pass.
-  /// BeginConsume fixes the per-block range size; each block walks its
-  /// tuple range through a Cursor; BlockDone releases every chunk whose
-  /// last reader finished.
+  /// \name Chunk consumption interface used by the first partitioning
+  /// pass. BeginConsume fixes the per-block range size; each block walks
+  /// its tuple range through a Cursor; BlockDone releases every chunk
+  /// whose last reader finished.
   /// @{
   struct Cursor {
     uint32_t key() const { return *k_; }
@@ -152,9 +173,9 @@ class ChunkedDeviceInput {
     }
 
    private:
-    friend class ChunkedDeviceInput;
+    friend class DeviceInput;
     void Advance();
-    const ChunkedDeviceInput* in_ = nullptr;
+    const DeviceInput* in_ = nullptr;
     size_t chunk_ = 0;
     const uint32_t* k_ = nullptr;
     const uint32_t* p_ = nullptr;
@@ -167,6 +188,14 @@ class ChunkedDeviceInput {
   /// @}
 
  private:
+  // A non-defining friend declaration cannot carry [[nodiscard]]; the
+  // namespace-scope declaration below does.
+  // lint:allow nodiscard
+  friend util::Result<PartitionedRelation> RadixPartition(
+      sim::Device* device, DeviceInput input,
+      const RadixPartitionConfig& config);
+
+  enum class Kind { kChunks, kBorrowed, kOwned, kSegmented };
   struct Chunk {
     std::vector<uint32_t> keys;
     std::vector<uint32_t> payloads;
@@ -175,6 +204,18 @@ class ChunkedDeviceInput {
   size_t ChunkEnd(size_t c) const {
     return c + 1 < chunks_.size() ? chunks_[c + 1].begin : total_;
   }
+  /// The device relation of a borrowed or owned input, else nullptr.
+  const DeviceRelation* flat() const {
+    return kind_ == Kind::kBorrowed ? borrowed_
+           : kind_ == Kind::kOwned  ? &owned_
+                                    : nullptr;
+  }
+
+  Kind kind_ = Kind::kChunks;
+  const DeviceRelation* borrowed_ = nullptr;
+  DeviceRelation owned_;
+  const data::Relation* host_ = nullptr;  ///< Segmented source.
+  int segments_ = 0;
   std::vector<Chunk> chunks_;
   /// Remaining reader blocks per chunk (set by BeginConsume).
   std::unique_ptr<std::atomic<int>[]> readers_;
@@ -189,54 +230,7 @@ class ChunkedDeviceInput {
 /// buckets, so the footprint stays near the data size.
 [[nodiscard]]
 util::Result<PartitionedRelation> RadixPartition(
-    sim::Device* device, const DeviceRelation& input,
-    const RadixPartitionConfig& config);
-
-/// Like RadixPartition but takes ownership of the input and frees its
-/// raw columns as soon as the first pass has consumed them.
-[[nodiscard]]
-util::Result<PartitionedRelation> RadixPartitionConsuming(
-    sim::Device* device, DeviceRelation input,
-    const RadixPartitionConfig& config);
-
-/// Like RadixPartitionConsuming over the concatenation of the input's
-/// chunks, with chunks released as the first pass consumes them (see
-/// ChunkedDeviceInput). Output and charged stats are bit-identical to
-/// the contiguous run.
-[[nodiscard]]
-util::Result<PartitionedRelation> RadixPartitionChunkedConsuming(
-    sim::Device* device, ChunkedDeviceInput input,
-    const RadixPartitionConfig& config);
-
-/// Partitions a host-resident relation by uploading and consuming it in
-/// `segments` pieces (each segment's device columns are freed after the
-/// first pass reads them). Peak device footprint is one segment plus the
-/// partitioned form — how implementations fit large probe sides next to
-/// an already-partitioned build side. Transfer timing is the caller's
-/// concern (as with DeviceRelation::Upload).
-[[nodiscard]]
-util::Result<PartitionedRelation> RadixPartitionSegmented(
-    sim::Device* device, const data::Relation& input,
-    const RadixPartitionConfig& config, int segments);
-
-/// Single pass over a contiguous input (pass 1). `shift`/`bits` select
-/// the radix field. When `append_to` is non-null, tuples are published
-/// into its existing chains (same layout, shared pool) instead of fresh
-/// ones, and the updated relation is returned.
-[[nodiscard]]
-util::Result<PartitionedRelation> RadixPartitionFirstPass(
-    sim::Device* device, const DeviceRelation& input, int shift, int bits,
-    const RadixPartitionConfig& config,
-    PartitionedRelation* append_to = nullptr);
-
-/// Single sub-partitioning pass over previous-pass chains: each parent
-/// partition p fans out to children [p * 2^bits, (p+1) * 2^bits).
-/// Takes `prev` by value: the pass consumes the input chains, recycling
-/// their buckets into the shared pool as it drains them (callers that
-/// kept a handle would otherwise observe half-drained chains).
-[[nodiscard]]
-util::Result<PartitionedRelation> RadixPartitionNextPass(
-    sim::Device* device, PartitionedRelation prev, int shift, int bits,
+    sim::Device* device, DeviceInput input,
     const RadixPartitionConfig& config);
 
 /// Auto-sizes bucket capacity for `tuples` spread over `partitions`

@@ -13,7 +13,6 @@ util::Result<DeviceRelation> DeviceRelation::Upload(
     sim::Device* device, const data::RelationView& view) {
   DeviceRelation out;
   out.size = view.size;
-  out.logical_payload_bytes = view.logical_payload_bytes;
   // Upload targets are copied over in full below: no zeroing pass.
   GJOIN_ASSIGN_OR_RETURN(out.keys, device->memory().AllocateUninitialized<uint32_t>(
                                        view.size, "upload:keys"));

@@ -18,8 +18,6 @@ struct DeviceRelation {
   sim::DeviceBuffer<uint32_t> keys;
   sim::DeviceBuffer<uint32_t> payloads;
   size_t size = 0;
-  /// Logical payload width carried per tuple (>= 4); see data::Relation.
-  int logical_payload_bytes = 4;
 
   /// Physical bytes of the relation's join columns.
   uint64_t bytes() const { return static_cast<uint64_t>(size) * 8; }

@@ -146,17 +146,6 @@ struct HardwareSpec {
   /// The paper's testbed (GTX 1080 + 2x E5-2650L v3). Default-constructed
   /// members already describe it; this named factory documents intent.
   static HardwareSpec Icde2019Testbed() { return HardwareSpec{}; }
-
-  /// A spec whose device memory is scaled by `factor` (< 1 shrinks).
-  /// Used by the experiment harness to keep data-vs-device-memory ratios
-  /// at the paper's nominal positions while running scaled-down inputs.
-  static HardwareSpec ScaledDeviceMemory(double factor) {
-    HardwareSpec spec;
-    spec.gpu.device_memory_bytes =
-        static_cast<size_t>(static_cast<double>(spec.gpu.device_memory_bytes) *
-                            factor);
-    return spec;
-  }
 };
 
 }  // namespace gjoin::hw

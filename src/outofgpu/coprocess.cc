@@ -16,67 +16,54 @@ using gjoin::gpujoin::OutputMode;
 
 namespace {
 
-/// Concatenates a subset of host partitions into one relation. The
-/// per-partition copies land at precomputed offsets, so they run in
-/// parallel over the thread pool (byte-identical to the serial append).
-data::Relation ConcatParts(const cpu::HostPartitions& parts,
-                           const std::vector<uint32_t>& which) {
-  data::Relation out;
-  std::vector<size_t> offsets(which.size());
-  size_t total = 0;
-  for (size_t j = 0; j < which.size(); ++j) {
-    offsets[j] = total;
-    total += parts.parts[which[j]].size();
-  }
-  out.keys.resize(total);
-  out.payloads.resize(total);
+/// One input side of a plan: its host partitions, and the same
+/// partitions as `owned` when the plan may move their columns out
+/// (nullptr when they are the caller's and must stay intact).
+struct PlanSide {
+  const cpu::HostPartitions* parts;
+  cpu::HostPartitions* owned = nullptr;
+};
+
+/// Stages the `which` partitions of `side` as the chunks of one device
+/// input, in working-set order. Owned partitions are moved in and stay
+/// behind as empty shells; borrowed ones are copied, per partition and in
+/// parallel over the thread pool.
+gjoin::gpujoin::DeviceInput StageSet(const PlanSide& side,
+                                     const std::vector<uint32_t>& which) {
+  std::vector<data::Relation> staged(which.size());
   util::ThreadPool::Default()->ParallelForRanges(
       which.size(), [&](size_t /*worker*/, size_t lo, size_t hi) {
         for (size_t j = lo; j < hi; ++j) {
-          const data::Relation& part = parts.parts[which[j]];
-          std::copy(part.keys.begin(), part.keys.end(),
-                    out.keys.begin() + offsets[j]);
-          std::copy(part.payloads.begin(), part.payloads.end(),
-                    out.payloads.begin() + offsets[j]);
+          if (side.owned != nullptr) {
+            staged[j] = std::move(side.owned->parts[which[j]]);
+          } else {
+            staged[j] = side.parts->parts[which[j]];
+          }
         }
       });
-  return out;
+  gjoin::gpujoin::DeviceInput input;
+  for (data::Relation& part : staged) {
+    input.Add(std::move(part.keys), std::move(part.payloads));
+  }
+  return input;
 }
 
-}  // namespace
-
-util::Result<CoProcessPlan> PlanCoProcessJoin(sim::Device* device,
-                                              const data::Relation& build,
-                                              const data::Relation& probe,
-                                              const CoProcessConfig& config) {
-  return PlanCoProcessJoinShared(device, build, probe, config, nullptr,
-                                 nullptr, nullptr, nullptr);
-}
-
-util::Result<CoProcessPlan> PlanCoProcessJoinShared(
-    sim::Device* device, const data::Relation& build,
-    const data::Relation& probe, const CoProcessConfig& config,
-    const cpu::HostPartitions* build_parts,
-    const cpu::HostPartitions* probe_parts,
-    cpu::HostPartitions* out_build_parts,
-    cpu::HostPartitions* out_probe_parts) {
+/// The plan body: packs working sets from the build side's partition
+/// sizes and runs each set's GPU join over its staged partitions. The
+/// first pass walks and frees the staged chunks, so peak residency is
+/// the partitioned input plus one set's partitioned form.
+util::Result<CoProcessPlan> PlanFromPartitions(sim::Device* device,
+                                               PlanSide build,
+                                               PlanSide probe,
+                                               const CoProcessConfig& config) {
   const hw::HardwareSpec& spec = device->spec();
-  const hw::CpuCostModel cpu_model(spec.cpu);
-
-  // ---- 1. Host partitioning (functional), shared when precomputed ----
-  cpu::HostPartitions r_local, s_local;
-  if (build_parts == nullptr) {
-    GJOIN_ASSIGN_OR_RETURN(
-        r_local, cpu::CpuRadixPartition(build, config.cpu, cpu_model));
-    build_parts = &r_local;
+  const cpu::HostPartitions& r_parts = *build.parts;
+  const cpu::HostPartitions& s_parts = *probe.parts;
+  if (r_parts.radix_bits != config.cpu.radix_bits ||
+      s_parts.radix_bits != config.cpu.radix_bits) {
+    return util::Status::Invalid(
+        "co-processing plan: partitions disagree with config.cpu.radix_bits");
   }
-  if (probe_parts == nullptr) {
-    GJOIN_ASSIGN_OR_RETURN(
-        s_local, cpu::CpuRadixPartition(probe, config.cpu, cpu_model));
-    probe_parts = &s_local;
-  }
-  const cpu::HostPartitions& r_parts = *build_parts;
-  const cpu::HostPartitions& s_parts = *probe_parts;
 
   // ---- 2. Working sets from the build side's partition sizes ----
   WorkingSetConfig packing = config.packing;
@@ -104,131 +91,39 @@ util::Result<CoProcessPlan> PlanCoProcessJoinShared(
                              ? OutputMode::kMaterialize
                              : OutputMode::kAggregate;
   if (join_cfg.join.key_bits == 0) {
-    uint32_t max_key = 1;
-    for (uint32_t k : build.keys) max_key = std::max(max_key, k);
-    join_cfg.join.key_bits = util::Log2Floor(max_key) + 1;
-  }
-
-  CoProcessPlan plan;
-  plan.total_input_bytes = build.bytes() + probe.bytes();
-  for (size_t set_index = 0; set_index < sets.size(); ++set_index) {
-    const WorkingSet& ws = sets[set_index];
-    data::Relation r_ws = ConcatParts(r_parts, ws.partitions);
-    data::Relation s_ws = ConcatParts(s_parts, ws.partitions);
-    if (r_ws.empty() || s_ws.empty()) continue;
-
-    GJOIN_ASSIGN_OR_RETURN(
-        gjoin::gpujoin::DeviceRelation r_dev,
-        gjoin::gpujoin::DeviceRelation::Upload(&scratch, r_ws));
-    GJOIN_ASSIGN_OR_RETURN(
-        gjoin::gpujoin::DeviceRelation s_dev,
-        gjoin::gpujoin::DeviceRelation::Upload(&scratch, s_ws));
-    GJOIN_ASSIGN_OR_RETURN(
-        JoinStats ws_join,
-        gjoin::gpujoin::PartitionedJoin(&scratch, r_dev, s_dev, join_cfg));
-
-    // Oversized singleton sets: the R side exceeds the budget, so S is
-    // re-streamed once per budget-sized R slice (GPU sub-partitioning,
-    // Section IV-B) — the skew penalty of Fig. 18.
-    const uint64_t restreams =
-        std::max<uint64_t>(1, util::CeilDiv(ws.bytes, packing.budget_bytes));
-
-    CoProcessPlan::WorkingSetRun run;
-    run.matches = ws_join.matches;
-    run.payload_sum = ws_join.payload_sum;
-    run.gpu_seconds = ws_join.seconds;
-    run.join_s = ws_join.join_s;
-    run.partition_s = ws_join.partition_s;
-    run.transfer_bytes = r_ws.bytes() + s_ws.bytes() * restreams;
-    run.set_index = set_index;
-    plan.runs.push_back(run);
-  }
-
-  // Hand freshly-computed partitions to the caller's cache.
-  if (out_build_parts != nullptr && build_parts == &r_local) {
-    *out_build_parts = std::move(r_local);
-  }
-  if (out_probe_parts != nullptr && probe_parts == &s_local) {
-    *out_probe_parts = std::move(s_local);
-  }
-  return plan;
-}
-
-util::Result<CoProcessPlan> PlanCoProcessJoinConsuming(
-    sim::Device* device, cpu::HostPartitions build_parts,
-    cpu::HostPartitions probe_parts, const CoProcessConfig& config) {
-  const hw::HardwareSpec& spec = device->spec();
-  if (build_parts.radix_bits != config.cpu.radix_bits ||
-      probe_parts.radix_bits != config.cpu.radix_bits) {
-    return util::Status::Invalid(
-        "PlanCoProcessJoinConsuming: partitions disagree with "
-        "config.cpu.radix_bits");
-  }
-
-  // ---- 2. Working sets from the build side's partition sizes ----
-  // (Phase 1, host partitioning, happened at the caller — typically fed
-  // chunk-at-a-time by a streaming generator.)
-  WorkingSetConfig packing = config.packing;
-  if (packing.budget_bytes == 0) {
-    packing.budget_bytes = static_cast<uint64_t>(
-        static_cast<double>(spec.gpu.device_memory_bytes) * 0.45);
-  }
-  std::vector<uint64_t> part_bytes(build_parts.parts.size());
-  for (size_t p = 0; p < build_parts.parts.size(); ++p) {
-    part_bytes[p] = build_parts.parts[p].bytes();
-  }
-  GJOIN_ASSIGN_OR_RETURN(std::vector<WorkingSet> sets,
-                         PackWorkingSets(part_bytes, packing));
-
-  // ---- 3. Per-working-set functional join ----
-  hw::HardwareSpec scratch_spec = spec;
-  scratch_spec.gpu.device_memory_bytes = SIZE_MAX / 4;
-  sim::Device scratch(scratch_spec);
-
-  gjoin::gpujoin::PartitionedJoinConfig join_cfg = config.join;
-  join_cfg.partition.base_shift = config.cpu.radix_bits;
-  join_cfg.join.output = config.materialize_to_host
-                             ? OutputMode::kMaterialize
-                             : OutputMode::kAggregate;
-  if (join_cfg.join.key_bits == 0) {
     // Partitioning permutes the keys, so the max over the partitions is
     // the max over the original relation.
-    uint32_t max_key = 1;
-    for (const data::Relation& part : build_parts.parts) {
+    uint32_t max_key = 0;
+    for (const data::Relation& part : r_parts.parts) {
       for (uint32_t k : part.keys) max_key = std::max(max_key, k);
     }
-    join_cfg.join.key_bits = util::Log2Floor(max_key) + 1;
+    join_cfg.join.key_bits = gjoin::gpujoin::KeyBitsForMaxKey(max_key);
   }
 
   CoProcessPlan plan;
-  plan.total_input_bytes = (build_parts.tuples + probe_parts.tuples) *
-                           data::Relation::kTupleBytes;
+  plan.total_input_bytes =
+      (r_parts.tuples + s_parts.tuples) * data::Relation::kTupleBytes;
   for (size_t set_index = 0; set_index < sets.size(); ++set_index) {
     const WorkingSet& ws = sets[set_index];
     uint64_t r_bytes = 0, s_bytes = 0;
     for (uint32_t p : ws.partitions) {
-      r_bytes += build_parts.parts[p].bytes();
-      s_bytes += probe_parts.parts[p].bytes();
+      r_bytes += r_parts.parts[p].bytes();
+      s_bytes += s_parts.parts[p].bytes();
     }
-
-    // Stage the set's partition columns in ConcatParts order; the join's
-    // first pass walks and frees them chunk by chunk. The moved-from
-    // partitions stay behind as empty shells, releasing this set's share
-    // of the host footprint even when the set is skipped as empty.
-    gjoin::gpujoin::ChunkedDeviceInput r_in, s_in;
-    for (uint32_t p : ws.partitions) {
-      r_in.Add(std::move(build_parts.parts[p].keys),
-               std::move(build_parts.parts[p].payloads));
-      s_in.Add(std::move(probe_parts.parts[p].keys),
-               std::move(probe_parts.parts[p].payloads));
-    }
+    // Staged before the emptiness check: an owned set releases its share
+    // of the host footprint even when it is skipped.
+    gjoin::gpujoin::DeviceInput r_in = StageSet(build, ws.partitions);
+    gjoin::gpujoin::DeviceInput s_in = StageSet(probe, ws.partitions);
     if (r_bytes == 0 || s_bytes == 0) continue;
 
     GJOIN_ASSIGN_OR_RETURN(
         JoinStats ws_join,
-        gjoin::gpujoin::PartitionedJoinChunkedConsuming(
-            &scratch, std::move(r_in), std::move(s_in), join_cfg));
+        gjoin::gpujoin::PartitionedJoin(&scratch, std::move(r_in),
+                                        std::move(s_in), join_cfg));
 
+    // Oversized singleton sets: the R side exceeds the budget, so S is
+    // re-streamed once per budget-sized R slice (GPU sub-partitioning,
+    // Section IV-B) — the skew penalty of Fig. 18.
     const uint64_t restreams =
         std::max<uint64_t>(1, util::CeilDiv(ws.bytes, packing.budget_bytes));
 
@@ -243,6 +138,53 @@ util::Result<CoProcessPlan> PlanCoProcessJoinConsuming(
     plan.runs.push_back(run);
   }
   return plan;
+}
+
+}  // namespace
+
+util::Result<CoProcessPlan> PlanCoProcessJoinShared(
+    sim::Device* device, const data::Relation& build,
+    const data::Relation& probe, const CoProcessConfig& config,
+    const cpu::HostPartitions* build_parts,
+    const cpu::HostPartitions* probe_parts,
+    cpu::HostPartitions* out_build_parts,
+    cpu::HostPartitions* out_probe_parts) {
+  const hw::CpuCostModel cpu_model(device->spec().cpu);
+
+  // ---- 1. Host partitioning (functional), shared when precomputed ----
+  // The plan owns (and consumes) partitions it computed, unless the
+  // caller asked to cache them.
+  cpu::HostPartitions r_local, s_local;
+  PlanSide r_side{build_parts};
+  PlanSide s_side{probe_parts};
+  if (build_parts == nullptr) {
+    GJOIN_ASSIGN_OR_RETURN(
+        r_local, cpu::CpuRadixPartition(build, config.cpu, cpu_model));
+    r_side = {&r_local, out_build_parts == nullptr ? &r_local : nullptr};
+  }
+  if (probe_parts == nullptr) {
+    GJOIN_ASSIGN_OR_RETURN(
+        s_local, cpu::CpuRadixPartition(probe, config.cpu, cpu_model));
+    s_side = {&s_local, out_probe_parts == nullptr ? &s_local : nullptr};
+  }
+  GJOIN_ASSIGN_OR_RETURN(CoProcessPlan plan,
+                         PlanFromPartitions(device, r_side, s_side, config));
+
+  // Hand freshly-computed partitions to the caller's cache.
+  if (out_build_parts != nullptr && build_parts == nullptr) {
+    *out_build_parts = std::move(r_local);
+  }
+  if (out_probe_parts != nullptr && probe_parts == nullptr) {
+    *out_probe_parts = std::move(s_local);
+  }
+  return plan;
+}
+
+util::Result<CoProcessPlan> PlanCoProcessJoinConsuming(
+    sim::Device* device, cpu::HostPartitions build_parts,
+    cpu::HostPartitions probe_parts, const CoProcessConfig& config) {
+  return PlanFromPartitions(device, {&build_parts, &build_parts},
+                            {&probe_parts, &probe_parts}, config);
 }
 
 util::Result<CoProcessRun> CoProcessExecutePlanned(
@@ -381,21 +323,15 @@ util::Result<CoProcessRun> CoProcessExecutePlanned(
   return run;
 }
 
-util::Result<JoinStats> CoProcessJoinPlanned(sim::Device* device,
-                                             const CoProcessPlan& plan,
-                                             const CoProcessConfig& config) {
-  GJOIN_ASSIGN_OR_RETURN(CoProcessRun run,
-                         CoProcessExecutePlanned(device, plan, config));
-  return run.stats;
-}
-
 util::Result<JoinStats> CoProcessJoin(sim::Device* device,
                                       const data::Relation& build,
                                       const data::Relation& probe,
                                       const CoProcessConfig& config) {
   GJOIN_ASSIGN_OR_RETURN(CoProcessPlan plan,
-                         PlanCoProcessJoin(device, build, probe, config));
-  return CoProcessJoinPlanned(device, plan, config);
+                         PlanCoProcessJoinShared(device, build, probe, config));
+  GJOIN_ASSIGN_OR_RETURN(CoProcessRun run,
+                         CoProcessExecutePlanned(device, plan, config));
+  return run.stats;
 }
 
 }  // namespace gjoin::outofgpu

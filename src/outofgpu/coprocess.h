@@ -100,38 +100,36 @@ struct CoProcessPlan {
 
 /// Executes the functional phase once (config's pipeline parameters are
 /// ignored except cpu partitioning geometry, packing and the GPU join
-/// config).
-[[nodiscard]]
-util::Result<CoProcessPlan> PlanCoProcessJoin(sim::Device* device,
-                                              const data::Relation& build,
-                                              const data::Relation& probe,
-                                              const CoProcessConfig& config);
-
-/// Plans with host partitions shared across queries: when
+/// config). Each working set's partitions are staged as the chunks of a
+/// gpujoin::DeviceInput that the set's join walks and releases in its
+/// first pass, so peak residency is the host partitions plus one staged
+/// set — never a concatenated working-set copy.
+///
+/// Host partitions can be shared across queries: when
 /// `build_parts`/`probe_parts` is non-null it must be
 /// CpuRadixPartition(build/probe, config.cpu) and is reused instead of
 /// re-partitioning (CPU pre-partitioning is deterministic, so one
-/// partitioned form serves every query over the relation). When an input
+/// partitioned form serves every query over the relation). Shared
+/// partitions are copied set by set and never modified. When an input
 /// *was* partitioned here and the matching `out_*` pointer is non-null,
-/// the fresh partitions are moved out for the caller to cache. The
-/// returned plan is identical to PlanCoProcessJoin's.
+/// the fresh partitions are moved out for the caller to cache; otherwise
+/// the plan consumes them.
 [[nodiscard]]
 util::Result<CoProcessPlan> PlanCoProcessJoinShared(
     sim::Device* device, const data::Relation& build,
     const data::Relation& probe, const CoProcessConfig& config,
-    const cpu::HostPartitions* build_parts,
-    const cpu::HostPartitions* probe_parts,
-    cpu::HostPartitions* out_build_parts, cpu::HostPartitions* out_probe_parts);
+    const cpu::HostPartitions* build_parts = nullptr,
+    const cpu::HostPartitions* probe_parts = nullptr,
+    cpu::HostPartitions* out_build_parts = nullptr,
+    cpu::HostPartitions* out_probe_parts = nullptr);
 
 /// Plans from already host-partitioned inputs, consuming them: each
-/// working set's partition columns are staged chunk-wise into the GPU
-/// join (gpujoin::ChunkedDeviceInput) and released as the join's first
-/// pass reads them, so peak residency is the partitioned input — never
-/// input plus a concatenated working-set copy. `build_parts` /
-/// `probe_parts` must be what CpuRadixPartition(build/probe, config.cpu)
-/// returns (StreamingCpuPartitioner produces exactly that without ever
+/// set's partition columns are moved into its join and released as the
+/// first pass reads them. `build_parts` / `probe_parts` must be what
+/// CpuRadixPartition(build/probe, config.cpu) returns
+/// (StreamingCpuPartitioner produces exactly that without ever
 /// materializing the relations). The returned plan is bit-identical to
-/// PlanCoProcessJoin over the original relations.
+/// PlanCoProcessJoinShared over the original relations.
 [[nodiscard]]
 util::Result<CoProcessPlan> PlanCoProcessJoinConsuming(
     sim::Device* device, cpu::HostPartitions build_parts,
@@ -146,17 +144,11 @@ struct CoProcessRun {
 };
 
 /// Times the pipeline of a prepared plan under `config` and returns the
-/// stats together with the op DAG.
-[[nodiscard]]
-util::Result<CoProcessRun> CoProcessExecutePlanned(
-    sim::Device* device, const CoProcessPlan& plan,
-    const CoProcessConfig& config);
-
-/// Times the pipeline of a prepared plan under `config`. Equals
+/// stats together with the op DAG. The stats equal
 /// CoProcessJoin(device, build, probe, config) when the plan was built
 /// with the same partitioning/packing/join configuration.
 [[nodiscard]]
-util::Result<gjoin::gpujoin::JoinStats> CoProcessJoinPlanned(
+util::Result<CoProcessRun> CoProcessExecutePlanned(
     sim::Device* device, const CoProcessPlan& plan,
     const CoProcessConfig& config);
 

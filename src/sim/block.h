@@ -53,10 +53,6 @@ class Block {
   void ChargeCoalescedWrite(uint64_t bytes) {
     stats_.coalesced_write_bytes += bytes;
   }
-  /// Partition-scatter writes (bucket flushes).
-  void ChargeScatterWrite(uint64_t bytes) {
-    stats_.scatter_write_bytes += bytes;
-  }
   /// `count` uncoalesced accesses into a structure of `working_set_bytes`.
   void ChargeRandomAccess(uint64_t count, uint64_t working_set_bytes) {
     stats_.random_transactions += count;

@@ -5,6 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <string>
+#include <utility>
 
 #include "src/data/generator.h"
 #include "src/data/oracle.h"
@@ -202,13 +205,28 @@ TEST_F(GpuJoinTest, NonPartitionedChainingHandlesDuplicates) {
 }
 
 TEST_F(GpuJoinTest, PerfectHashMatchesOracleOnUniqueKeys) {
-  const auto r = data::MakeUniqueUniform(30000, 25);
-  const auto s = data::MakeUniformProbe(30000, 30000, 26);
+  // The second input gives a probed build tuple the boundary payload
+  // UINT32_MAX, which must not read back as an empty slot.
+  const auto boundary_probe = data::MakeUniformProbe(2000, 1000, 46);
+  auto boundary = data::MakeUniqueUniform(1000, 45);
+  const auto hit = std::find(boundary.keys.begin(), boundary.keys.end(),
+                             boundary_probe.keys[0]);
+  ASSERT_NE(hit, boundary.keys.end());
+  boundary.payloads[static_cast<size_t>(hit - boundary.keys.begin())] =
+      UINT32_MAX;
+  const std::pair<data::Relation, data::Relation> inputs[] = {
+      {data::MakeUniqueUniform(30000, 25),
+       data::MakeUniformProbe(30000, 30000, 26)},
+      {boundary, boundary_probe},
+  };
   NonPartitionedJoinConfig cfg;
   cfg.variant = NonPartitionedVariant::kPerfectHash;
-  auto stats = NonPartitionedJoin(&device_, Upload(r), Upload(s), cfg);
-  ASSERT_TRUE(stats.ok()) << stats.status();
-  ExpectMatchesOracle(r, s, *stats);
+  for (const auto& [r, s] : inputs) {
+    SCOPED_TRACE("build of " + std::to_string(r.size()));
+    auto stats = NonPartitionedJoin(&device_, Upload(r), Upload(s), cfg);
+    ASSERT_TRUE(stats.ok()) << stats.status();
+    ExpectMatchesOracle(r, s, *stats);
+  }
 }
 
 TEST_F(GpuJoinTest, PerfectHashRejectsDuplicateKeys) {

@@ -145,7 +145,7 @@ TEST_F(RadixPartitionTest, ChunkedConsumingMatchesMonolithic) {
   // Chunk boundaries deliberately unaligned with the launch's per-block
   // ranges; results must be bucket-for-bucket identical regardless.
   for (const size_t chunk : {1000u, 12345u, 40000u}) {
-    ChunkedDeviceInput input;
+    DeviceInput input;
     for (size_t begin = 0; begin < rel.size(); begin += chunk) {
       const size_t end = std::min(rel.size(), begin + chunk);
       input.Add({rel.keys.begin() + begin, rel.keys.begin() + end},
@@ -153,8 +153,7 @@ TEST_F(RadixPartitionTest, ChunkedConsumingMatchesMonolithic) {
     }
     EXPECT_EQ(input.size(), rel.size());
     EXPECT_EQ(input.MaxKey(), 9000u);
-    auto parted = RadixPartitionChunkedConsuming(&device_, std::move(input),
-                                                 cfg);
+    auto parted = RadixPartition(&device_, std::move(input), cfg);
     ASSERT_TRUE(parted.ok()) << parted.status();
     EXPECT_EQ(parted->tuples, whole->tuples);
     EXPECT_EQ(parted->radix_bits, whole->radix_bits);
@@ -176,11 +175,10 @@ TEST_F(RadixPartitionTest, ChunkedConsumingMatchesMonolithic) {
 TEST_F(RadixPartitionTest, ChunkedConsumingEmptyInput) {
   RadixPartitionConfig cfg;
   cfg.pass_bits = {4};
-  ChunkedDeviceInput input;
+  DeviceInput input;
   input.Add({}, {});  // empty chunks are dropped
   EXPECT_EQ(input.size(), 0u);
-  auto parted = RadixPartitionChunkedConsuming(&device_, std::move(input),
-                                               cfg);
+  auto parted = RadixPartition(&device_, std::move(input), cfg);
   ASSERT_TRUE(parted.ok()) << parted.status();
   EXPECT_EQ(parted->chains.TotalElements(), 0u);
 }

@@ -14,6 +14,9 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "src/cpu/cpu_joins.h"
@@ -400,39 +403,87 @@ TEST_F(StatInvarianceTest, ScatterBufferSizeAndThreadInvariant) {
 }
 
 TEST_F(StatInvarianceTest, ChunkedConsumingJoinMatchesContiguous) {
-  // Contiguous reference run.
-  sim::Device ref_device{hw::HardwareSpec::Icde2019Testbed()};
+  // Every DeviceInput kind over the same tuples — borrowed and owned
+  // device relations, one and N host-staged chunks, a one-segment host
+  // upload — must partition to the same modeled seconds and pass split
+  // and join with the same results and launch profile as the borrowed
+  // contiguous reference.
   gpujoin::PartitionedJoinConfig cfg;
   cfg.partition.pass_bits = {6, 5};
-  auto rd = gpujoin::DeviceRelation::Upload(&ref_device, r_);
-  auto sd = gpujoin::DeviceRelation::Upload(&ref_device, s_);
-  ASSERT_TRUE(rd.ok() && sd.ok());
-  auto ref_st = gpujoin::PartitionedJoin(&ref_device, *rd, *sd, cfg);
-  ASSERT_TRUE(ref_st.ok()) << ref_st.status();
-  const DepthRunCapture ref{ref_st->matches, ref_st->payload_sum,
-                            ref_device.profile(), {}};
-
-  auto chunked = [](const data::Relation& rel, size_t chunk) {
-    gpujoin::ChunkedDeviceInput input;
-    for (size_t begin = 0; begin < rel.size(); begin += chunk) {
-      const size_t end = std::min(rel.size(), begin + chunk);
-      input.Add({rel.keys.begin() + begin, rel.keys.begin() + end},
-                {rel.payloads.begin() + begin, rel.payloads.begin() + end});
-    }
-    return input;
+  using MakeInput = std::function<gpujoin::DeviceInput(
+      sim::Device*, const data::Relation&, gpujoin::DeviceRelation* keep)>;
+  auto upload = [](sim::Device* device, const data::Relation& rel) {
+    auto dev = gpujoin::DeviceRelation::Upload(device, rel);
+    EXPECT_TRUE(dev.ok()) << dev.status();
+    return std::move(dev).ValueOrDie();
   };
-  for (const size_t chunk : {7000u, 100000u, 1000000u}) {
-    SCOPED_TRACE("chunk " + std::to_string(chunk));
+  auto chunked = [](size_t chunk) -> MakeInput {
+    return [chunk](sim::Device*, const data::Relation& rel,
+                   gpujoin::DeviceRelation*) {
+      gpujoin::DeviceInput input;
+      for (size_t begin = 0; begin < rel.size(); begin += chunk) {
+        const size_t end = std::min(rel.size(), begin + chunk);
+        input.Add({rel.keys.begin() + begin, rel.keys.begin() + end},
+                  {rel.payloads.begin() + begin, rel.payloads.begin() + end});
+      }
+      return input;
+    };
+  };
+  const std::vector<std::pair<std::string, MakeInput>> kinds = {
+      {"borrowed",
+       [&](sim::Device* device, const data::Relation& rel,
+           gpujoin::DeviceRelation* keep) {
+         *keep = upload(device, rel);
+         return gpujoin::DeviceInput(*keep);
+       }},
+      {"owned",
+       [&](sim::Device* device, const data::Relation& rel,
+           gpujoin::DeviceRelation*) {
+         return gpujoin::DeviceInput(upload(device, rel));
+       }},
+      {"one chunk", chunked(1000000)},
+      {"7000-tuple chunks", chunked(7000)},
+      {"100000-tuple chunks", chunked(100000)},
+      {"one segment",
+       [](sim::Device*, const data::Relation& rel, gpujoin::DeviceRelation*) {
+         return gpujoin::DeviceInput::Segmented(rel, 1);
+       }},
+  };
+
+  bool have_ref = false;
+  gpujoin::PartitionedRelation ref_parted;
+  gpujoin::JoinStats ref_st;
+  DepthRunCapture ref;
+  for (int i = 0; i < static_cast<int>(kinds.size()); ++i) {
+    const auto& [name, make] = kinds[static_cast<size_t>(i)];
+    SCOPED_TRACE("input kind " + name);
+    sim::Device part_device{hw::HardwareSpec::Icde2019Testbed()};
+    gpujoin::DeviceRelation keep;
+    auto parted = gpujoin::RadixPartition(
+        &part_device, make(&part_device, s_, &keep), cfg.partition);
+    ASSERT_TRUE(parted.ok()) << parted.status();
+
     sim::Device device{hw::HardwareSpec::Icde2019Testbed()};
-    auto st = gpujoin::PartitionedJoinChunkedConsuming(
-        &device, chunked(r_, chunk), chunked(s_, chunk), cfg);
+    gpujoin::DeviceRelation keep_r, keep_s;
+    auto st = gpujoin::PartitionedJoin(&device, make(&device, r_, &keep_r),
+                                       make(&device, s_, &keep_s), cfg);
     ASSERT_TRUE(st.ok()) << st.status();
-    EXPECT_DOUBLE_EQ(st->seconds, ref_st->seconds);
-    EXPECT_DOUBLE_EQ(st->partition_s, ref_st->partition_s);
-    EXPECT_DOUBLE_EQ(st->join_s, ref_st->join_s);
     const DepthRunCapture run{st->matches, st->payload_sum, device.profile(),
                               {}};
-    ExpectSameRun(ref, run, static_cast<int>(chunk));
+    if (!have_ref) {
+      ref_parted = std::move(parted).ValueOrDie();
+      ref_st = *st;
+      ref = run;
+      have_ref = true;
+      continue;
+    }
+    EXPECT_EQ(parted->tuples, ref_parted.tuples);
+    EXPECT_EQ(parted->seconds, ref_parted.seconds);
+    EXPECT_EQ(parted->pass_seconds, ref_parted.pass_seconds);
+    EXPECT_DOUBLE_EQ(st->seconds, ref_st.seconds);
+    EXPECT_DOUBLE_EQ(st->partition_s, ref_st.partition_s);
+    EXPECT_DOUBLE_EQ(st->join_s, ref_st.join_s);
+    ExpectSameRun(ref, run, i);
   }
 }
 
@@ -440,31 +491,51 @@ TEST_F(StatInvarianceTest, ConsumingPlanEqualsSharedPlan) {
   sim::Device device{hw::HardwareSpec::Icde2019Testbed()};
   outofgpu::CoProcessConfig cfg;
   cfg.join.partition.pass_bits = {6, 5};
-  auto shared = outofgpu::PlanCoProcessJoin(&device, r_, s_, cfg);
-  ASSERT_TRUE(shared.ok()) << shared.status();
+  auto fresh = outofgpu::PlanCoProcessJoinShared(&device, r_, s_, cfg);
+  ASSERT_TRUE(fresh.ok()) << fresh.status();
 
   const hw::CpuCostModel cpu_model(device.spec().cpu);
   auto r_parts = cpu::CpuRadixPartition(r_, cfg.cpu, cpu_model);
   auto s_parts = cpu::CpuRadixPartition(s_, cfg.cpu, cpu_model);
   ASSERT_TRUE(r_parts.ok() && s_parts.ok());
+  // A session caches host partitions across queries: planning over them
+  // must leave them byte-for-byte intact.
+  const cpu::HostPartitions r_before = *r_parts;
+  const cpu::HostPartitions s_before = *s_parts;
+  auto shared = outofgpu::PlanCoProcessJoinShared(&device, r_, s_, cfg,
+                                                  &*r_parts, &*s_parts);
+  ASSERT_TRUE(shared.ok()) << shared.status();
+  for (const auto& [got, want] :
+       {std::pair{&*r_parts, &r_before}, std::pair{&*s_parts, &s_before}}) {
+    EXPECT_EQ(got->tuples, want->tuples);
+    ASSERT_EQ(got->parts.size(), want->parts.size());
+    for (size_t p = 0; p < want->parts.size(); ++p) {
+      EXPECT_EQ(got->parts[p].keys, want->parts[p].keys) << "partition " << p;
+      EXPECT_EQ(got->parts[p].payloads, want->parts[p].payloads)
+          << "partition " << p;
+    }
+  }
+
   auto consuming = outofgpu::PlanCoProcessJoinConsuming(
       &device, std::move(r_parts).ValueOrDie(),
       std::move(s_parts).ValueOrDie(), cfg);
   ASSERT_TRUE(consuming.ok()) << consuming.status();
 
-  EXPECT_EQ(consuming->total_input_bytes, shared->total_input_bytes);
-  ASSERT_EQ(consuming->runs.size(), shared->runs.size());
-  for (size_t i = 0; i < shared->runs.size(); ++i) {
-    SCOPED_TRACE("working set run " + std::to_string(i));
-    const auto& a = shared->runs[i];
-    const auto& b = consuming->runs[i];
-    EXPECT_EQ(b.matches, a.matches);
-    EXPECT_EQ(b.payload_sum, a.payload_sum);
-    EXPECT_DOUBLE_EQ(b.gpu_seconds, a.gpu_seconds);
-    EXPECT_DOUBLE_EQ(b.join_s, a.join_s);
-    EXPECT_DOUBLE_EQ(b.partition_s, a.partition_s);
-    EXPECT_EQ(b.transfer_bytes, a.transfer_bytes);
-    EXPECT_EQ(b.set_index, a.set_index);
+  for (const auto* plan : {&*shared, &*consuming}) {
+    EXPECT_EQ(plan->total_input_bytes, fresh->total_input_bytes);
+    ASSERT_EQ(plan->runs.size(), fresh->runs.size());
+    for (size_t i = 0; i < fresh->runs.size(); ++i) {
+      SCOPED_TRACE("working set run " + std::to_string(i));
+      const auto& a = fresh->runs[i];
+      const auto& b = plan->runs[i];
+      EXPECT_EQ(b.matches, a.matches);
+      EXPECT_EQ(b.payload_sum, a.payload_sum);
+      EXPECT_DOUBLE_EQ(b.gpu_seconds, a.gpu_seconds);
+      EXPECT_DOUBLE_EQ(b.join_s, a.join_s);
+      EXPECT_DOUBLE_EQ(b.partition_s, a.partition_s);
+      EXPECT_EQ(b.transfer_bytes, a.transfer_bytes);
+      EXPECT_EQ(b.set_index, a.set_index);
+    }
   }
 }
 
